@@ -6,6 +6,11 @@
 // that seam in code — internal/netem (the in-process emulator) and
 // internal/udpnet (real UDP sockets) both implement Network, and every
 // layer above picks its substrate at composition time.
+//
+// The contract is unicast only: every packet names one destination host.
+// The paper's 1:N topology (§3.8) is built above it, by the transport
+// sending each TPDU to every member of a multicast VC, so fault injection
+// and per-flow accounting see each branch as an ordinary packet.
 package netif
 
 import (
@@ -88,19 +93,14 @@ type BatchSender interface {
 	SendBatch(ps []Packet) error
 }
 
-// GroupBase is the floor of the multicast group-address space: HostIDs at
-// or above it name groups, below it single hosts.
-const GroupBase core.HostID = 1 << 31
-
 // Network is the substrate contract. All methods are safe for concurrent
 // use. Implementations: *netem.Network (emulated links, exact per-hop
 // reservation) and *udpnet.Network (real UDP sockets, advisory local
 // admission).
 type Network interface {
-	// Send transmits one packet. Dst at or above GroupBase fans out to
-	// the members of that multicast group. Send enqueues and returns;
-	// delivery is asynchronous and may silently fail (loss, damage,
-	// queue overflow) exactly like a real network.
+	// Send transmits one packet to the host p.Dst. Send enqueues and
+	// returns; delivery is asynchronous and may silently fail (loss,
+	// damage, queue overflow) exactly like a real network.
 	Send(p Packet) error
 	// SetHandler installs the packet receive handler for a local host.
 	SetHandler(id core.HostID, h Handler) error
@@ -112,10 +112,6 @@ type Network interface {
 	// resources already committed. The transport's QoS negotiation
 	// weakens requested specs against it.
 	PathCapability(src, dst core.HostID, pktSize int) (qos.Capability, error)
-	// AddGroup installs a multicast group (gid >= GroupBase).
-	AddGroup(gid core.HostID, members []core.HostID) error
-	// RemoveGroup removes a multicast group; unknown gids are ignored.
-	RemoveGroup(gid core.HostID)
 	// MTU returns the substrate's maximum payload size per packet in
 	// bytes; 0 means unbounded. Transport entities clamp their TPDU
 	// size so one TPDU always fits one substrate packet.

@@ -15,13 +15,17 @@ import (
 // negotiation with the destination user, and reservation of the agreed
 // bandwidth. On success the returned SendVC is ready for Write.
 func (e *Entity) Connect(req ConnectRequest) (*SendVC, error) {
-	tup := core.ConnectTuple{
-		Initiator: core.Addr{Host: e.host, TSAP: req.SrcTSAP},
-		Source:    core.Addr{Host: e.host, TSAP: req.SrcTSAP},
-		Dest:      req.Dest,
-	}
+	return e.connect(req, nil)
+}
+
+// connect is the initiator side of Connect and ConnectMulticast: the
+// caller's host is the source, and members, when non-nil, replaces
+// req.Dest with the sinks of a multicast VC.
+func (e *Entity) connect(req ConnectRequest, members []core.Addr) (*SendVC, error) {
+	src := core.Addr{Host: e.host, TSAP: req.SrcTSAP}
+	tup := core.ConnectTuple{Initiator: src, Source: src, Dest: req.Dest}
 	e.trace("initiator", core.TConnectRequest)
-	s, err := e.connectAsSource(tup, req.Profile, req.Class, req.Spec, req.StartSeq)
+	s, err := e.connectAsSource(tup, members, req.Profile, req.Class, req.Spec, req.StartSeq)
 	if err != nil {
 		e.trace("initiator", core.TDisconnectIndication)
 		return nil, err
@@ -30,63 +34,111 @@ func (e *Entity) Connect(req ConnectRequest) (*SendVC, error) {
 	return s, nil
 }
 
-// connectAsSource runs establishment from the source entity: negotiate
-// against the path, reserve, and complete the CR/CC exchange with the
-// destination.
-func (e *Entity) connectAsSource(tup core.ConnectTuple, profile qos.Profile, class qos.Class, spec qos.Spec, startSeq core.OSDUSeq) (*SendVC, error) {
+// connectAsSource runs establishment from the source entity toward
+// tup.Dest or, when members is non-nil, toward every member of a
+// multicast VC under one VC id (the tuple's Dest is then zero). It
+// negotiates the weakest contract across the paths, reserves each
+// branch, completes the CR/CC exchange with each sink, and undoes all of
+// it if any step fails.
+func (e *Entity) connectAsSource(tup core.ConnectTuple, members []core.Addr, profile qos.Profile, class qos.Class, spec qos.Spec, startSeq core.OSDUSeq) (*SendVC, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	pc, err := e.capabilityFor(tup.Source.Host, tup.Dest.Host, spec)
-	if err != nil {
-		return nil, &RejectError{Reason: core.ReasonNoSuchTSAP, Detail: err.Error()}
+	dests := members
+	if members == nil {
+		one := [1]core.Addr{tup.Dest}
+		dests = one[:]
+	} else {
+		tup.Dest = core.Addr{}
 	}
-	contract, err := qos.Negotiate(spec, pc)
-	if err != nil {
-		return nil, &RejectError{Reason: core.ReasonQoSUnattainable, Detail: err.Error()}
+	var contract qos.Contract
+	for _, d := range dests {
+		pc, err := e.capabilityFor(tup.Source.Host, d.Host, spec)
+		if err != nil {
+			return nil, &RejectError{Reason: core.ReasonNoSuchTSAP, Detail: err.Error()}
+		}
+		c, err := qos.Negotiate(spec, pc)
+		if err != nil {
+			return nil, &RejectError{Reason: core.ReasonQoSUnattainable, Detail: err.Error()}
+		}
+		contract = weakest(contract, c)
 	}
 
-	// Reserve along the path (hard and soft guarantees reserve; best
-	// effort does not).
+	// Reserve each branch (hard and soft guarantees reserve; best effort
+	// does not). The first branch's reservation and route are the VC's
+	// own; a multicast VC keeps the others in resvExtra.
 	var resvID resv.ID
 	var path []core.HostID
-	if contract.Guarantee != qos.BestEffort {
-		id, p, err := e.rm.Reserve(tup.Source.Host, tup.Dest.Host, e.bytesPerSecond(contract))
-		if err != nil {
-			return nil, &RejectError{Reason: core.ReasonNoResources, Detail: err.Error()}
-		}
-		resvID, path = id, p
-	}
-	release := func() {
+	var extra []resv.ID
+	var vc core.VCID
+	confirmed := 0
+	fail := func(err error) (*SendVC, error) {
 		if resvID != 0 {
 			_ = e.rm.Release(resvID)
 		}
-	}
-
-	vc := e.allocVC()
-	reply, err := e.request(tup.Dest.Host, &pdu.Control{
-		Kind: pdu.KindConnReq, VC: vc, Tuple: tup,
-		Profile: profile, Class: class, Spec: spec, Contract: contract,
-		Seq: uint64(startSeq),
-	})
-	if err != nil {
-		release()
+		for _, id := range extra {
+			_ = e.rm.Release(id)
+		}
+		for _, d := range dests[:confirmed] {
+			e.sendCtl(d.Host, &pdu.Control{
+				Kind: pdu.KindDiscReq, VC: vc, Tuple: tup, Reason: rejectReason(err),
+			})
+		}
 		return nil, err
 	}
-	if reply.Kind == pdu.KindConnRej {
-		release()
-		return nil, &RejectError{Reason: reply.Reason}
+	if contract.Guarantee != qos.BestEffort {
+		for i, d := range dests {
+			id, p, err := e.rm.Reserve(tup.Source.Host, d.Host, e.bytesPerSecond(contract))
+			if err != nil {
+				return fail(&RejectError{Reason: core.ReasonNoResources, Detail: err.Error()})
+			}
+			if i == 0 {
+				resvID, path = id, p
+			} else {
+				extra = append(extra, id)
+			}
+		}
 	}
-	final := reply.Contract
 
-	// The responder may have weakened the offer; shrink the reservation
-	// to the final contract.
-	if resvID != 0 && final.Throughput < contract.Throughput {
-		_ = e.rm.Adjust(resvID, e.bytesPerSecond(final))
+	// Confirmed establishment with each sink; any sink's counter-offer
+	// weakens the final contract further.
+	vc = e.allocVC()
+	var final qos.Contract
+	for _, d := range dests {
+		branch := tup
+		branch.Dest = d
+		reply, err := e.request(d.Host, &pdu.Control{
+			Kind: pdu.KindConnReq, VC: vc, Tuple: branch,
+			Profile: profile, Class: class, Spec: spec, Contract: contract,
+			Seq: uint64(startSeq),
+		})
+		if err != nil {
+			return fail(err)
+		}
+		if reply.Kind == pdu.KindConnRej {
+			return fail(&RejectError{Reason: reply.Reason})
+		}
+		confirmed++
+		final = weakest(final, reply.Contract)
+	}
+
+	// A sink may have weakened the offer; shrink the reservations to the
+	// final contract.
+	if final.Throughput < contract.Throughput {
+		if resvID != 0 {
+			_ = e.rm.Adjust(resvID, e.bytesPerSecond(final))
+		}
+		for _, id := range extra {
+			_ = e.rm.Adjust(id, e.bytesPerSecond(final))
+		}
 	}
 
 	s := newSendVC(e, vc, tup, profile, class, final, resvID)
 	s.path = path
+	if members != nil {
+		s.members = append([]core.Addr(nil), members...)
+		s.resvExtra = extra
+	}
 	if startSeq > 0 {
 		// Mid-stream join: numbering starts at the splice head, and the
 		// transmit watermark must not look behind it.
@@ -96,9 +148,9 @@ func (e *Entity) connectAsSource(tup core.ConnectTuple, profile qos.Profile, cla
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		s.teardown()
-		release()
-		return nil, ErrClosed
+		s.teardown() // releases the reservations
+		resvID, extra = 0, nil
+		return fail(ErrClosed)
 	}
 	e.sends[vc] = s
 	e.peerAddLocked(s.tuple.Dest.Host, vc)
@@ -109,6 +161,32 @@ func (e *Entity) connectAsSource(tup core.ConnectTuple, profile qos.Profile, cla
 		u.OnSendReady(s)
 	}
 	return s, nil
+}
+
+// weakest combines two contracts into the weakest of each parameter: the
+// contract every one of several paths or sinks can honour. The zero
+// contract is the identity, so a fold over N contracts can start from it.
+func weakest(a, b qos.Contract) qos.Contract {
+	if a == (qos.Contract{}) {
+		return b
+	}
+	a.Throughput = min(a.Throughput, b.Throughput)
+	a.MaxOSDUSize = max(a.MaxOSDUSize, b.MaxOSDUSize)
+	a.Delay = max(a.Delay, b.Delay)
+	a.Jitter = max(a.Jitter, b.Jitter)
+	a.PER = max(a.PER, b.PER)
+	a.BER = max(a.BER, b.BER)
+	return a
+}
+
+// rejectReason is the disconnect reason an establishment error carries:
+// the peer's or admission's reason for a RejectError, a network failure
+// otherwise.
+func rejectReason(err error) core.Reason {
+	if rej, ok := err.(*RejectError); ok {
+		return rej.Reason
+	}
+	return core.ReasonNetworkFailure
 }
 
 // handleConnReq is the destination entity's side of establishment: issue
@@ -250,13 +328,9 @@ func (e *Entity) handleRemoteConnReq(from core.HostID, c *pdu.Control) {
 	}
 	e.trace("source", core.TConnectResponse)
 	e.trace("source", core.TConnectRequest)
-	s, err := e.connectAsSource(c.Tuple, c.Profile, c.Class, spec, 0)
+	s, err := e.connectAsSource(c.Tuple, nil, c.Profile, c.Class, spec, 0)
 	if err != nil {
-		reason := core.ReasonNetworkFailure
-		if rej, ok := err.(*RejectError); ok {
-			reason = rej.Reason
-		}
-		result(0, qos.Contract{}, reason)
+		result(0, qos.Contract{}, rejectReason(err))
 		return
 	}
 	e.trace("source", core.TConnectConfirm)
@@ -272,9 +346,13 @@ func (e *Entity) Disconnect(vc core.VCID, reason core.Reason) error {
 	}
 	e.trace("source", core.TDisconnectRequest)
 	s.teardown()
-	e.sendCtl(s.tuple.Dest.Host, &pdu.Control{
-		Kind: pdu.KindDiscReq, VC: vc, Tuple: s.tuple, Reason: reason,
-	})
+	dr := &pdu.Control{Kind: pdu.KindDiscReq, VC: vc, Tuple: s.tuple, Reason: reason}
+	if s.members == nil {
+		e.sendCtl(s.tuple.Dest.Host, dr)
+	}
+	for _, m := range s.members {
+		e.sendCtl(m.Host, dr)
+	}
 	return nil
 }
 

@@ -56,7 +56,7 @@ type vcGuard struct {
 func newVCGuard(e *Entity, id core.VCID) *vcGuard {
 	return &vcGuard{
 		pred: predict.New(predict.Config{
-			Window:  e.cfg.PredictWindow,
+			Window:  predictWindow,
 			BadLoss: e.cfg.QoSSlack, // loss beyond slack marks a Bad period
 		}),
 		forecastG: e.scope.Scope(vcScopeName(id)).Gauge("guard/violation_p"),

@@ -9,13 +9,16 @@ import (
 	"cmtos/internal/netif/faultnet"
 	"cmtos/internal/qos"
 	"cmtos/internal/resv"
+	"cmtos/internal/stats"
 )
 
 // faultRig is a rig whose entities send through a fault injector, so
-// tests can crash and partition hosts.
+// tests can crash and partition hosts; reg holds the injector's
+// "fault/..." counters.
 type faultRig struct {
 	*rig
 	fault *faultnet.Network
+	reg   *stats.Registry
 }
 
 func newFaultRig(t *testing.T, n int, cfg Config) *faultRig {
@@ -36,7 +39,8 @@ func newFaultRig(t *testing.T, n int, cfg Config) *faultRig {
 	if err := nw.Start(); err != nil {
 		t.Fatal(err)
 	}
-	fn := faultnet.Wrap(nw, faultnet.Options{Seed: 11, Clock: sys})
+	reg := stats.NewRegistry()
+	fn := faultnet.Wrap(nw, faultnet.Options{Seed: 11, Clock: sys, Stats: reg.Scope("")})
 	t.Cleanup(fn.Close)
 	rm := resv.New(nw)
 	r := &rig{net: nw, rm: rm, ent: make(map[core.HostID]*Entity)}
@@ -48,7 +52,7 @@ func newFaultRig(t *testing.T, n int, cfg Config) *faultRig {
 		t.Cleanup(e.Close)
 		r.ent[id] = e
 	}
-	return &faultRig{rig: r, fault: fn}
+	return &faultRig{rig: r, fault: fn, reg: reg}
 }
 
 func TestLivenessDeclaresCrashedPeerDead(t *testing.T) {

@@ -4,18 +4,16 @@ import (
 	"fmt"
 
 	"cmtos/internal/core"
-	"cmtos/internal/netif"
-	"cmtos/internal/pdu"
 	"cmtos/internal/qos"
-	"cmtos/internal/resv"
 )
 
 // ConnectMulticast establishes the simple 1:N CM topology of §3.8: one
-// send VC whose data TPDUs fan out to every destination through a network
-// group address. Each destination runs the normal confirmed establishment
-// (T-Connect.indication at its user, counter-negotiation), and the final
-// contract is the weakest the group can sustain, so the connections
-// "maintain a compatible temporal transmission rate".
+// send VC whose data TPDUs the source sends to every destination. It
+// shares Connect's establishment: each destination runs the normal
+// confirmed exchange (T-Connect.indication at its user,
+// counter-negotiation), and the final contract is the weakest the group
+// can sustain, so the connections "maintain a compatible temporal
+// transmission rate". Members are not liveness peers of the source.
 //
 // Restrictions (the paper defers multicast refinement to future work, §7):
 // the profile must be the CM rate-based one and the class must not be
@@ -33,122 +31,5 @@ func (e *Entity) ConnectMulticast(req ConnectRequest, dests []core.Addr) (*SendV
 	if req.Class.Corrects() {
 		return nil, fmt.Errorf("transport: multicast cannot use a correcting class")
 	}
-	if err := req.Spec.Validate(); err != nil {
-		return nil, err
-	}
-	e.trace("initiator", core.TConnectRequest)
-
-	// Negotiate against the weakest path.
-	contract := qos.Contract{}
-	for i, d := range dests {
-		pc, err := e.capabilityFor(e.host, d.Host, req.Spec)
-		if err != nil {
-			return nil, &RejectError{Reason: core.ReasonNoSuchTSAP, Detail: err.Error()}
-		}
-		c, err := qos.Negotiate(req.Spec, pc)
-		if err != nil {
-			return nil, &RejectError{Reason: core.ReasonQoSUnattainable, Detail: err.Error()}
-		}
-		if i == 0 || c.Throughput < contract.Throughput {
-			contract.Throughput = c.Throughput
-		}
-		if c.Delay > contract.Delay {
-			contract.Delay = c.Delay
-		}
-		if c.Jitter > contract.Jitter {
-			contract.Jitter = c.Jitter
-		}
-		if c.PER > contract.PER {
-			contract.PER = c.PER
-		}
-		if c.BER > contract.BER {
-			contract.BER = c.BER
-		}
-	}
-	contract.MaxOSDUSize = req.Spec.MaxOSDUSize
-	contract.Guarantee = req.Spec.Guarantee
-
-	// Reserve every branch; roll back on failure.
-	var resvIDs []resv.ID
-	release := func() {
-		for _, id := range resvIDs {
-			_ = e.rm.Release(id)
-		}
-	}
-	if contract.Guarantee != qos.BestEffort {
-		for _, d := range dests {
-			id, _, err := e.rm.Reserve(e.host, d.Host, e.bytesPerSecond(contract))
-			if err != nil {
-				release()
-				return nil, &RejectError{Reason: core.ReasonNoResources, Detail: err.Error()}
-			}
-			resvIDs = append(resvIDs, id)
-		}
-	}
-
-	// Confirmed establishment with every member under one VC id. The
-	// final contract is weakened further by any member's counter-offer.
-	vc := e.allocVC()
-	src := core.Addr{Host: e.host, TSAP: req.SrcTSAP}
-	for _, d := range dests {
-		tup := core.ConnectTuple{Initiator: src, Source: src, Dest: d}
-		reply, err := e.request(d.Host, &pdu.Control{
-			Kind: pdu.KindConnReq, VC: vc, Tuple: tup,
-			Profile: req.Profile, Class: req.Class,
-			Spec: req.Spec, Contract: contract,
-		})
-		if err != nil {
-			release()
-			return nil, err
-		}
-		if reply.Kind == pdu.KindConnRej {
-			release()
-			return nil, &RejectError{Reason: reply.Reason}
-		}
-		if reply.Contract.Throughput < contract.Throughput {
-			contract.Throughput = reply.Contract.Throughput
-		}
-	}
-
-	// Register the group and build the send side addressed to it.
-	gid := e.allocGroup()
-	members := make([]core.HostID, len(dests))
-	for i, d := range dests {
-		members[i] = d.Host
-	}
-	if err := e.net.AddGroup(gid, members); err != nil {
-		release()
-		return nil, err
-	}
-	tup := core.ConnectTuple{
-		Initiator: src, Source: src,
-		Dest: core.Addr{Host: gid, TSAP: 0},
-	}
-	s := newSendVC(e, vc, tup, req.Profile, req.Class, contract, 0)
-	s.resvExtra = resvIDs
-	s.group = gid
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		s.teardown()
-		release()
-		return nil, ErrClosed
-	}
-	e.sends[vc] = s
-	e.peerAddLocked(s.tuple.Dest.Host, vc)
-	e.mu.Unlock()
-	s.start()
-	e.trace("initiator", core.TConnectConfirm)
-	if u, ok := e.user(req.SrcTSAP); ok && u.OnSendReady != nil {
-		u.OnSendReady(s)
-	}
-	return s, nil
-}
-
-// allocGroup returns a fresh multicast group address for this entity.
-func (e *Entity) allocGroup() core.HostID {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.nextGroup++
-	return netif.GroupBase | core.HostID(uint32(e.host)<<16|e.nextGroup&0xFFFF)
+	return e.connect(req, dests)
 }

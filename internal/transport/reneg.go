@@ -19,7 +19,7 @@ import (
 // the existing VC is NOT torn down and keeps its previous contract.
 func (s *SendVC) Renegotiate(spec qos.Spec) (qos.Contract, error) {
 	e := s.e
-	if s.group != 0 {
+	if s.members != nil {
 		return qos.Contract{}, fmt.Errorf("transport: re-negotiation of multicast VCs is not supported")
 	}
 	e.trace("initiator", core.TRenegotiateRequest)

@@ -76,7 +76,7 @@ func (e *Entity) evictResumableLocked(now time.Time) {
 			i++ // already consumed; just drop the queue slot
 			continue
 		}
-		if now.Sub(k.at) >= e.cfg.ResumeWindow {
+		if now.Sub(k.at) >= resumeWindow {
 			delete(e.resumable, k.vc)
 			i++
 			continue

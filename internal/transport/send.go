@@ -37,8 +37,8 @@ type SendVC struct {
 	profile   qos.Profile
 	class     qos.Class
 	resvID    resv.ID
-	resvExtra []resv.ID   // multicast: one reservation per branch
-	group     core.HostID // multicast group address (0 = unicast)
+	resvExtra []resv.ID   // multicast: the reservations of branches after the first
+	members   []core.Addr // multicast sinks; nil on a unicast VC, whose sink is tuple.Dest
 
 	ring *cbuf.Ring
 
@@ -164,7 +164,7 @@ func newSendVC(e *Entity, id core.VCID, tup core.ConnectTuple, profile qos.Profi
 	if profile == qos.ProfileWindow {
 		s.window = rate.NewWindow(e.cfg.WindowSize)
 	} else if class.Corrects() {
-		s.window = rate.NewWindow(e.cfg.RetransBuf)
+		s.window = rate.NewWindow(retransBuf)
 	}
 	if class.Corrects() {
 		s.retransBuf = make(map[uint64]retransEntry)
@@ -672,16 +672,25 @@ func (s *SendVC) nextTPDUSeqLocked() uint64 {
 	return s.tpduSeq
 }
 
-// transmit puts one TPDU on the wire at the VC's priority.
+// transmit puts one TPDU on the wire at the VC's priority. A multicast
+// VC marshals it once and sends it to every member; sharing the payload
+// is safe because substrates copy a payload before they corrupt it.
 func (s *SendVC) transmit(d *pdu.Data) {
 	prio := netif.PrioGuaranteed
 	if s.Contract().Guarantee == qos.BestEffort {
 		prio = netif.PrioBestEffort
 	}
-	_ = s.e.net.Send(netif.Packet{
+	p := netif.Packet{
 		Src: s.tuple.Source.Host, Dst: s.tuple.Dest.Host,
 		Flow: s.id, Prio: prio, Payload: d.Marshal(nil),
-	})
+	}
+	if s.members == nil {
+		_ = s.e.net.Send(p)
+	}
+	for _, m := range s.members {
+		p.Dst = m.Host
+		_ = s.e.net.Send(p)
+	}
 }
 
 // onAck processes cumulative and selective acknowledgements (correcting
@@ -796,9 +805,6 @@ func (s *SendVC) teardown() {
 		}
 		for _, id := range s.resvExtra {
 			_ = s.e.rm.Release(id)
-		}
-		if s.group != 0 {
-			s.e.net.RemoveGroup(s.group)
 		}
 		s.e.dropSend(s)
 		s.sh.post(shardEvent{kind: evCloseSend, send: s})

@@ -154,7 +154,7 @@ func newShard(e *Entity, idx int) *shard {
 	return &shard{
 		e:     e,
 		idx:   idx,
-		ring:  newEventRing(e.cfg.ShardQueue),
+		ring:  newEventRing(shardQueue),
 		wake:  make(chan struct{}, 1),
 		done:  make(chan struct{}),
 		sends: make(map[core.VCID]*SendVC),

@@ -26,6 +26,23 @@ import (
 	"cmtos/internal/stats"
 )
 
+// Fixed sizes and windows of the entity's protocol machinery.
+const (
+	// retransBuf bounds outstanding unacknowledged TPDUs in the
+	// error-correcting classes; the sender blocks at the bound.
+	retransBuf = 64
+	// shardQueue is the per-shard receive handoff ring capacity (a power
+	// of two). Data, ack and flow events beyond it are dropped and
+	// counted in shard/handoff_drops; all are protocol-recoverable.
+	shardQueue = 2048
+	// resumeWindow bounds how long a torn-down sink VC's delivery
+	// watermark survives awaiting a session-layer resume; past it the VC
+	// can no longer be resumed (ReasonNoSuchVC).
+	resumeWindow = 30 * time.Second
+	// predictWindow is the predictive guard's rolling report window.
+	predictWindow = 32
+)
+
 // Config tunes an Entity. The zero value selects all defaults.
 type Config struct {
 	// MaxTPDU bounds the payload of one data TPDU in bytes; OSDUs larger
@@ -45,9 +62,6 @@ type Config struct {
 	// RTO is the sender retransmission timeout for the error-correcting
 	// classes. Default 100ms.
 	RTO time.Duration
-	// RetransBuf bounds outstanding unacknowledged TPDUs in the
-	// error-correcting classes; the sender blocks at the bound. Default 64.
-	RetransBuf int
 	// QoSSlack is the measurement slack fraction applied before a
 	// violation is indicated. Default 0.05.
 	QoSSlack float64
@@ -75,11 +89,6 @@ type Config struct {
 	// wheel, so the entity's steady-state goroutine count is O(Shards),
 	// not O(VCs). Default min(8, GOMAXPROCS).
 	Shards int
-	// ShardQueue is the per-shard receive handoff ring capacity (rounded
-	// up to a power of two). Data, ack and flow events beyond it are
-	// dropped and counted in shard/handoff_drops; all are
-	// protocol-recoverable. Default 2048.
-	ShardQueue int
 	// KeepaliveInterval is the peer-liveness probe period: peers with
 	// live VCs that stay silent a whole interval are sent a keepalive
 	// control PDU, and after KeepaliveMisses further silent intervals
@@ -92,10 +101,6 @@ type Config struct {
 	// intervals declare a peer dead; the worst-case detection window is
 	// (KeepaliveMisses+1) x KeepaliveInterval of silence. Default 3.
 	KeepaliveMisses int
-	// ResumeWindow bounds how long a torn-down sink VC's delivery
-	// watermark survives awaiting a session-layer resume; past it the VC
-	// can no longer be resumed (ReasonNoSuchVC). Default 30s.
-	ResumeWindow time.Duration
 	// DegradeAfter enables graceful degradation for Soft-guarantee
 	// source VCs: after this many consecutive violated QoS sample
 	// reports, the source automatically renegotiates one step down the
@@ -122,8 +127,6 @@ type Config struct {
 	// PredictHorizon is the forecast lookahead in sample periods.
 	// Default 4.
 	PredictHorizon int
-	// PredictWindow is the predictor's rolling report window. Default 32.
-	PredictWindow int
 	// PredictCooldown is the minimum spacing between guard actions on one
 	// VC — the hysteresis that keeps the guard from flapping. Default
 	// 4x SamplePeriod.
@@ -160,9 +163,6 @@ func (c Config) withDefaults() Config {
 	if c.RTO <= 0 {
 		c.RTO = 100 * time.Millisecond
 	}
-	if c.RetransBuf <= 0 {
-		c.RetransBuf = 64
-	}
 	if c.QoSSlack <= 0 {
 		c.QoSSlack = 0.05
 	}
@@ -187,17 +187,11 @@ func (c Config) withDefaults() Config {
 			c.Shards = 8
 		}
 	}
-	if c.ShardQueue <= 0 {
-		c.ShardQueue = 2048
-	}
 	if c.KeepaliveInterval == 0 {
 		c.KeepaliveInterval = time.Second
 	}
 	if c.KeepaliveMisses <= 0 {
 		c.KeepaliveMisses = 3
-	}
-	if c.ResumeWindow <= 0 {
-		c.ResumeWindow = 30 * time.Second
 	}
 	if (c.DegradeAfter > 0 || c.PredictThreshold > 0) && len(c.DegradeLadder) == 0 {
 		c.DegradeLadder = []DegradeStep{
@@ -208,9 +202,6 @@ func (c Config) withDefaults() Config {
 	if c.PredictThreshold > 0 {
 		if c.PredictHorizon <= 0 {
 			c.PredictHorizon = 4
-		}
-		if c.PredictWindow <= 0 {
-			c.PredictWindow = 32
 		}
 		if c.PredictCooldown <= 0 {
 			c.PredictCooldown = 4 * c.SamplePeriod

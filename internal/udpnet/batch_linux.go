@@ -7,7 +7,7 @@ package udpnet
 // Three kernel features stack here, probed at runtime and degraded
 // independently:
 //
-//   - sendmmsg(2)/recvmmsg(2) move up to Config.Batch datagrams per
+//   - sendmmsg(2)/recvmmsg(2) move up to batchLen datagrams per
 //     syscall (PR 5). The raw syscalls cooperate with the runtime
 //     poller through syscall.RawConn: EAGAIN parks the goroutine on the
 //     netpoller instead of spinning.
@@ -200,7 +200,7 @@ func (s *shard) initBatchIO() {
 	if err != nil {
 		return
 	}
-	k := s.net.cfg.Batch
+	k := batchLen
 	bio := &batchIO{
 		shdrs:  make([]mmsghdr, k),
 		siovs:  make([]syscall.Iovec, k),

@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"syscall"
 	"testing"
+	"time"
 
 	"cmtos/internal/core"
 	"cmtos/internal/netif"
@@ -63,12 +64,15 @@ func TestPoolClampOversized(t *testing.T) {
 	s.putWire(nil)
 }
 
-// TestOpenSendCloseChurn pins the Close-vs-sendLoop shutdown race
-// across the sharded layout: 100 rounds of open → burst → close, each
+// TestOpenSendCloseChurn pins the Close-vs-sendLoop shutdown races
+// across the sharded layout: rounds of open → burst → close, each
 // asserting that every enqueued packet reached the wire before any of
 // the shard sockets closed (send_errors == 0, sent == enqueued — a
 // send-on-closed-socket EBADF/EPIPE would land in send_errors) and
-// that no shard goroutine outlives its Network.
+// that no shard goroutine outlives its Network. The empty burst closes
+// with idle send loops parked in (or about to park in) their queue
+// wait: Close must wake every one of them, so it must return within a
+// bound rather than hang on a lost wake-up.
 func TestOpenSendCloseChurn(t *testing.T) {
 	defer nettest.CheckGoroutines(t)()
 
@@ -81,8 +85,8 @@ func TestOpenSendCloseChurn(t *testing.T) {
 	peer := nb.Addr().String()
 
 	const rounds = 100
-	const burst = 50
-	batch := make([]netif.Packet, burst)
+	const closeBound = 2 * time.Second
+	batch := make([]netif.Packet, 50)
 	for i := range batch {
 		batch[i] = netif.Packet{
 			// Distinct flows spread the burst across all send shards.
@@ -90,36 +94,49 @@ func TestOpenSendCloseChurn(t *testing.T) {
 			Payload: make([]byte, 256),
 		}
 	}
-	for round := 0; round < rounds; round++ {
-		reg := stats.NewRegistry()
-		na, err := New(Config{Local: 1, Listen: "127.0.0.1:0", SendShards: 4, RecvShards: 2})
-		if err != nil {
-			t.Fatalf("round %d: New: %v", round, err)
-		}
-		na.SetStats(reg.Scope("churn"))
-		if err := na.AddPeer(2, peer); err != nil {
-			na.Close()
-			t.Fatalf("round %d: AddPeer: %v", round, err)
-		}
-		if err := na.SendBatch(batch); err != nil {
-			na.Close()
-			t.Fatalf("round %d: SendBatch: %v", round, err)
-		}
-		// Close immediately: drain-before-close must get every queued
-		// packet onto the wire first, across all four send shards.
-		na.Close()
-		snap := reg.Snapshot()
-		sent := snap.Counters["churn/net/sent_packets"]
-		serrs := snap.Counters["churn/net/send_errors"]
-		over := snap.Counters["churn/net/send_overflows"]
-		if serrs != 0 {
-			t.Fatalf("round %d: %d send errors (send on closed socket?)", round, serrs)
-		}
-		if over != 0 {
-			t.Fatalf("round %d: %d overflows with a %d-packet burst", round, over, burst)
-		}
-		if sent != burst {
-			t.Fatalf("round %d: sent %d of %d enqueued packets: Close lost the rest", round, sent, burst)
+	for _, burst := range []int{len(batch), 0} {
+		for round := 0; round < rounds; round++ {
+			reg := stats.NewRegistry()
+			na, err := New(Config{Local: 1, Listen: "127.0.0.1:0", SendShards: 4, RecvShards: 2})
+			if err != nil {
+				t.Fatalf("burst %d round %d: New: %v", burst, round, err)
+			}
+			na.SetStats(reg.Scope("churn"))
+			if err := na.AddPeer(2, peer); err != nil {
+				na.Close()
+				t.Fatalf("burst %d round %d: AddPeer: %v", burst, round, err)
+			}
+			if burst > 0 {
+				if err := na.SendBatch(batch[:burst]); err != nil {
+					na.Close()
+					t.Fatalf("burst %d round %d: SendBatch: %v", burst, round, err)
+				}
+			}
+			// Close immediately: drain-before-close must get every queued
+			// packet onto the wire first, across all four send shards.
+			closed := make(chan struct{})
+			go func() {
+				na.Close()
+				close(closed)
+			}()
+			select {
+			case <-closed:
+			case <-time.After(closeBound):
+				t.Fatalf("burst %d round %d: Close still blocked after %v", burst, round, closeBound)
+			}
+			snap := reg.Snapshot()
+			sent := snap.Counters["churn/net/sent_packets"]
+			serrs := snap.Counters["churn/net/send_errors"]
+			over := snap.Counters["churn/net/send_overflows"]
+			if serrs != 0 {
+				t.Fatalf("burst %d round %d: %d send errors (send on closed socket?)", burst, round, serrs)
+			}
+			if over != 0 {
+				t.Fatalf("burst %d round %d: %d overflows", burst, round, over)
+			}
+			if sent != uint64(burst) {
+				t.Fatalf("burst %d round %d: sent %d of %d enqueued packets: Close lost the rest", burst, round, sent, burst)
+			}
 		}
 	}
 }

@@ -99,9 +99,19 @@ const (
 // fraction netem's per-link reservation uses.
 const reservableFraction = 0.9
 
-// maxBatch bounds Config.Batch: it sizes the per-socket mmsghdr arrays
-// and the sender's scratch, so it stays small and fixed.
+// batchLen bounds how many same-priority datagrams one sendmmsg/recvmmsg
+// syscall moves (on platforms with batch I/O; elsewhere it only sizes
+// the sender's drain quantum). A paced sender always drains one packet
+// at a time so strict priority stays preemptive at packet granularity.
+const batchLen = 32
+
+// maxBatch bounds one SendBatch chunk: it sizes that call's stack
+// scratch, so it stays small and fixed.
 const maxBatch = 64
+
+// queueLen bounds each priority queue (per send shard); excess packets
+// are dropped like a router's drop-tail queue.
+const queueLen = 256
 
 // maxShards bounds SendShards and RecvShards; sockets and loops scale
 // linearly with it.
@@ -154,15 +164,6 @@ type Config struct {
 	// Jitter is the advertised jitter bound for PathCapability.
 	// Default 1ms (scheduling noise on a real host).
 	Jitter time.Duration
-	// QueueLen bounds each priority queue (per send shard); excess
-	// packets are dropped like a router's drop-tail queue. Default 256.
-	QueueLen int
-	// Batch bounds how many same-priority datagrams one
-	// sendmmsg/recvmmsg syscall moves (on platforms with batch I/O;
-	// elsewhere it only sizes the sender's drain quantum). Default 32,
-	// capped at 64. A paced sender always drains one packet at a time
-	// so strict priority stays preemptive at packet granularity.
-	Batch int
 	// SendShards is the number of per-CPU send structures: sockets,
 	// priority rings, buffer pools and send loops. Flows hash-pin to a
 	// shard, so per-flow FIFO order is preserved while distinct flows
@@ -192,15 +193,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Jitter <= 0 {
 		c.Jitter = time.Millisecond
-	}
-	if c.QueueLen <= 0 {
-		c.QueueLen = 256
-	}
-	if c.Batch <= 0 {
-		c.Batch = 32
-	}
-	if c.Batch > maxBatch {
-		c.Batch = maxBatch
 	}
 	defShards := runtime.GOMAXPROCS(0)
 	if defShards > 8 {
@@ -374,8 +366,7 @@ type Network struct {
 
 	handler atomic.Pointer[netif.Handler]
 
-	mu      sync.Mutex // guards writes to peers, plus groups/avail/damage/rng
-	groups  map[core.HostID][]core.HostID
+	mu      sync.Mutex // guards writes to peers, plus avail/damage/rng
 	avail   func(src, dst core.HostID) float64
 	damageP atomic.Uint64 // math.Float64bits of the damage probability
 	rng     *rand.Rand
@@ -424,10 +415,9 @@ func New(cfg Config) (*Network, error) {
 		return nil, errors.New("udpnet: Local host ID required")
 	}
 	n := &Network{
-		cfg:    cfg,
-		clk:    cfg.Clock,
-		groups: make(map[core.HostID][]core.HostID),
-		rng:    rand.New(rand.NewSource(1)),
+		cfg: cfg,
+		clk: cfg.Clock,
+		rng: rand.New(rand.NewSource(1)),
 	}
 	peers := make(map[core.HostID]netip.AddrPort)
 	n.peers.Store(&peers)
@@ -458,7 +448,7 @@ func New(cfg Config) (*Network, error) {
 		if sender {
 			s.sendDone = make(chan struct{})
 			for pr := range s.queues {
-				s.queues[pr] = newRing(cfg.QueueLen)
+				s.queues[pr] = newRing(queueLen)
 			}
 		}
 		s.initBatchIO()
@@ -662,25 +652,6 @@ func (n *Network) PathCapability(src, dst core.HostID, pktSize int) (qos.Capabil
 	}, nil
 }
 
-// AddGroup installs a multicast group; the sender fans out one unicast
-// datagram per member (real IP multicast is out of scope).
-func (n *Network) AddGroup(gid core.HostID, members []core.HostID) error {
-	if gid < netif.GroupBase {
-		return fmt.Errorf("udpnet: group id %v below GroupBase", gid)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.groups[gid] = append([]core.HostID(nil), members...)
-	return nil
-}
-
-// RemoveGroup removes a multicast group.
-func (n *Network) RemoveGroup(gid core.HostID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.groups, gid)
-}
-
 // MTU returns the payload bound per packet.
 func (n *Network) MTU() int { return n.cfg.MTU }
 
@@ -696,28 +667,11 @@ func (n *Network) sendShard(flow core.VCID, dst core.HostID) *shard {
 	return n.send[h%uint32(len(n.send))]
 }
 
-// Send enqueues one packet at its priority. Group destinations fan out
-// to every member. Delivery is asynchronous and unreliable, like the
-// network underneath. The payload is copied into a wire buffer before
-// Send returns, so the caller may reuse it immediately.
+// Send enqueues one packet at its priority. Delivery is asynchronous
+// and unreliable, like the network underneath. The payload is copied
+// into a wire buffer before Send returns, so the caller may reuse it
+// immediately.
 func (n *Network) Send(p netif.Packet) error {
-	if p.Dst >= netif.GroupBase {
-		n.mu.Lock()
-		members, ok := n.groups[p.Dst]
-		n.mu.Unlock()
-		if !ok {
-			return fmt.Errorf("udpnet: unknown group %v", p.Dst)
-		}
-		var firstErr error
-		for _, m := range members {
-			dup := p
-			dup.Dst = m
-			if err := n.Send(dup); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
 	s := n.sendShard(p.Flow, p.Dst)
 	out, err := n.prepare(s, p)
 	if err != nil {
@@ -730,9 +684,8 @@ func (n *Network) Send(p netif.Packet) error {
 
 // SendBatch enqueues many packets with one marshal pass and one queue
 // lock acquisition per shard per chunk — the netif.BatchSender fast
-// path. Group destinations fall back to Send's fan-out. Packets that
-// fail validation are skipped; the first such error is returned after
-// the rest of the batch has been enqueued.
+// path. Packets that fail validation are skipped; the first such error
+// is returned after the rest of the batch has been enqueued.
 func (n *Network) SendBatch(ps []netif.Packet) error {
 	var firstErr error
 	var outs [maxBatch]outPkt
@@ -746,12 +699,6 @@ func (n *Network) SendBatch(ps []netif.Packet) error {
 		ps = ps[len(chunk):]
 		k := 0
 		for _, p := range chunk {
-			if p.Dst >= netif.GroupBase {
-				if err := n.Send(p); err != nil && firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
 			s := n.sendShard(p.Flow, p.Dst)
 			out, err := n.prepare(s, p)
 			if err != nil {
@@ -895,14 +842,14 @@ func unmarshal(data []byte) (p netif.Packet, srcPort uint16, ok bool) {
 }
 
 // sendLoop drains the shard's priority queues strictly highest-first in
-// batches of up to Config.Batch packets, pacing each batch to PaceRate
+// batches of up to batchLen packets, pacing each batch to PaceRate
 // when configured. A paced sender drains single packets so a control
 // packet can still preempt a queued best-effort burst.
 func (s *shard) sendLoop() {
 	n := s.net
 	defer n.wg.Done()
 	defer close(s.sendDone)
-	batch := make([]outPkt, n.cfg.Batch)
+	batch := make([]outPkt, batchLen)
 	limit := len(batch)
 	if n.cfg.PaceRate > 0 {
 		limit = 1
@@ -1022,7 +969,7 @@ func (s *shard) genericRecvLoop() {
 // from ephemeral ports, and replies must target the peer's SO_REUSEPORT
 // receive group, not whichever shard socket spoke last.
 func (n *Network) learnPeer(src core.HostID, from netip.AddrPort, advertised uint16) {
-	if src == 0 || src == n.cfg.Local || src >= netif.GroupBase {
+	if src == 0 || src == n.cfg.Local {
 		return
 	}
 	ap := from
@@ -1122,7 +1069,11 @@ func (n *Network) Close() {
 		return
 	}
 	for _, s := range n.send {
-		s.qcond.Broadcast() // unblocks sendLoop
+		// Broadcast under qmu: a sendLoop between its closed check and
+		// Wait holds qmu, so the wake-up cannot fall into that gap.
+		s.qmu.Lock()
+		s.qcond.Broadcast()
+		s.qmu.Unlock()
 	}
 	for _, s := range n.send {
 		<-s.sendDone // already-queued packets (e.g. a final DiscReq) go out first

@@ -14,6 +14,11 @@ fi
 
 go build ./...
 go vet ./...
+
+# The benchmark harness is a separate module (perfbench/go.mod), which
+# the root ./... patterns do not reach: vet and build it too, so an
+# internal API change that breaks the harness fails here.
+(cd perfbench && go vet . && go build -o /dev/null .)
 go test -race ./...
 
 # Bench smoke: run every udpnet wire-path benchmark for a single
