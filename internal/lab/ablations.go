@@ -2,6 +2,7 @@ package lab
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -426,10 +427,24 @@ func MuxVsSeparateOnce(durFrames int) (MuxResult, error) {
 // ---------------------------------------------------------------------------
 // A3: shared circular buffer vs copy-based data transfer interface (§3.7).
 
-// BufVsCopyResult compares per-OSDU transfer cost.
+// BufVsCopyResult compares per-OSDU transfer cost. The nanosecond
+// figures are wall-clock and shift with the machine and with race
+// instrumentation; the allocation and copy counts are the structural
+// difference and do not.
 type BufVsCopyResult struct {
 	SharedNsPerOSDU float64
 	CopyNsPerOSDU   float64
+
+	// Heap allocations per OSDU (runtime.MemStats.Mallocs delta).
+	SharedAllocsPerOSDU float64
+	CopyAllocsPerOSDU   float64
+
+	// CopyBytesPerOSDU is the payload bytes the copy-based interface
+	// copies per OSDU: into a fresh buffer at the sender and out into
+	// another at the receiver. (The ring copies too, into its slot at Put
+	// and out to its scratch buffer at Get; what it saves is the
+	// allocations and the per-call location of a buffer.)
+	CopyBytesPerOSDU float64
 }
 
 // SharedBufVsCopyOnce moves count OSDUs of size bytes producer→consumer
@@ -442,8 +457,9 @@ func SharedBufVsCopyOnce(count, size int) BufVsCopyResult {
 
 	// (a) shared ring.
 	ring := cbuf.New(sys, 16, size)
-	start := sys.Now()
 	done := make(chan struct{})
+	m0 := mallocs()
+	start := sys.Now()
 	go func() {
 		defer close(done)
 		for i := 0; i < count; i++ {
@@ -457,32 +473,46 @@ func SharedBufVsCopyOnce(count, size int) BufVsCopyResult {
 	}
 	<-done
 	shared := sys.Since(start)
+	sharedAllocs := mallocs() - m0
 
 	// (b) copy-based: each send allocates a fresh buffer and copies —
 	// the sendo/recvo "data location + data transfer per call" cost
 	// ([Govindan,91] via §3.7).
 	ch := make(chan []byte, 16)
-	start = sys.Now()
 	done = make(chan struct{})
+	var sendBytes, recvBytes int
+	m0 = mallocs()
+	start = sys.Now()
 	go func() {
 		defer close(done)
 		for i := 0; i < count; i++ {
 			buf := <-ch
 			sink := make([]byte, len(buf)) // receiver-side copy-out
-			copy(sink, buf)
-			_ = sink
+			recvBytes += copy(sink, buf)
 		}
 	}()
 	for i := 0; i < count; i++ {
 		buf := make([]byte, size) // sender-side copy-in
-		copy(buf, payload)
+		sendBytes += copy(buf, payload)
 		ch <- buf
 	}
 	<-done
 	copied := sys.Since(start)
+	copyAllocs := mallocs() - m0
 
+	n := float64(count)
 	return BufVsCopyResult{
-		SharedNsPerOSDU: float64(shared.Nanoseconds()) / float64(count),
-		CopyNsPerOSDU:   float64(copied.Nanoseconds()) / float64(count),
+		SharedNsPerOSDU:     float64(shared.Nanoseconds()) / n,
+		CopyNsPerOSDU:       float64(copied.Nanoseconds()) / n,
+		SharedAllocsPerOSDU: float64(sharedAllocs) / n,
+		CopyAllocsPerOSDU:   float64(copyAllocs) / n,
+		CopyBytesPerOSDU:    float64(sendBytes+recvBytes) / n,
 	}
+}
+
+// mallocs returns the process's cumulative heap allocation count.
+func mallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
 }

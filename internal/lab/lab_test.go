@@ -140,13 +140,29 @@ func TestMuxVsSeparateOnceShape(t *testing.T) {
 }
 
 func TestSharedBufVsCopyOnceShape(t *testing.T) {
-	res := SharedBufVsCopyOnce(5000, 4096)
+	const size = 4096
+	res := SharedBufVsCopyOnce(5000, size)
 	if res.SharedNsPerOSDU <= 0 || res.CopyNsPerOSDU <= 0 {
 		t.Fatalf("degenerate result %+v", res)
 	}
-	// The copy-based interface pays allocation + double copy per OSDU.
-	if res.CopyNsPerOSDU < res.SharedNsPerOSDU {
-		t.Fatalf("copy (%f) !> shared (%f) ns/OSDU", res.CopyNsPerOSDU, res.SharedNsPerOSDU)
+	t.Logf("allocs/OSDU shared %.4f copy %.2f; copy interface %.0f B/OSDU",
+		res.SharedAllocsPerOSDU, res.CopyAllocsPerOSDU, res.CopyBytesPerOSDU)
+	// The copy-based interface pays an allocation and a copy on each side
+	// per OSDU; the shared ring reuses its slots and allocates nothing.
+	// Counts, unlike time, hold under the race detector.
+	if res.CopyAllocsPerOSDU < 2 {
+		t.Errorf("copy interface allocates %.2f per OSDU, want >= 2", res.CopyAllocsPerOSDU)
+	}
+	if res.CopyBytesPerOSDU != 2*size {
+		t.Errorf("copy interface copies %.0f B per OSDU, want %d", res.CopyBytesPerOSDU, 2*size)
+	}
+	if res.SharedAllocsPerOSDU >= 0.01 {
+		t.Errorf("shared ring allocates %.3f per OSDU, want none", res.SharedAllocsPerOSDU)
+	}
+	// Wall-clock ns/OSDU is a gate only without the race detector, whose
+	// instrumentation of the ring's locking inverts the shape.
+	if !raceEnabled && res.CopyNsPerOSDU < res.SharedNsPerOSDU {
+		t.Errorf("copy (%f) !> shared (%f) ns/OSDU", res.CopyNsPerOSDU, res.SharedNsPerOSDU)
 	}
 }
 

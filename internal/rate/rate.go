@@ -7,6 +7,17 @@
 // Rate-based control decouples flow control from error control and adapts
 // instantly to SetRate — the property the LLO exploits to block a VC that
 // runs ahead of its regulation target (§6.3.1.1).
+//
+// The bucket paces by schedule, not by wake-up. A sender in debt sleeps
+// until its next unit is due, but timers fire late: the transport's shard
+// wheel ticks every millisecond and the Go runtime rounds sub-millisecond
+// sleeps up to about that. So credit that accrues while the sender is
+// backlogged is never clipped to the burst: at 4,000 units/s a wake 1 ms
+// late releases the four units that fell due meanwhile, much as Linux fq
+// releases on time_next_packet. The burst cap limits only credit accrued
+// while the sender is idle, and a separate carry bound caps what a
+// backlogged sender may bank, so a stall (a GC pause, a descheduled
+// shard) cannot flood the receiver in one wake.
 package rate
 
 import (
@@ -16,50 +27,65 @@ import (
 	"cmtos/internal/clock"
 )
 
-// Bucket is a token-bucket pacer: tokens accrue at Rate per second up to
-// Burst; sending n units consumes n tokens; a sender that outruns the rate
-// is told how long to wait. The unit is whatever the caller chooses
-// (bytes for bandwidth pacing, OSDUs for frame pacing). Bucket is safe for
-// concurrent use.
+// Bucket is a token-bucket pacer: tokens accrue at Rate per second;
+// sending n units consumes n tokens; a sender that outruns the rate is
+// told how long to wait. The unit is whatever the caller chooses (bytes
+// for bandwidth pacing, OSDUs for frame pacing).
+//
+// Accrual stops at one of two caps and never removes credit already
+// held. A sender is backlogged from the Take that first leaves it in
+// debt until it calls Idle; meanwhile the balance accrues up to carry,
+// so neither a late wake nor the time spent sending what fell due loses
+// credit. Otherwise the sender is idle and accrual stops at burst. Bucket
+// is safe for concurrent use.
 type Bucket struct {
 	clk clock.Clock
 
-	mu     sync.Mutex
-	rate   float64 // tokens per second
-	burst  float64
-	tokens float64
-	last   time.Time
-	paused bool
+	mu         sync.Mutex
+	rate       float64 // tokens per second
+	burst      float64 // accrual cap while idle
+	carry      float64 // accrual cap while backlogged
+	tokens     float64
+	last       time.Time
+	backlogged bool
+	paused     bool
 }
 
-// NewBucket returns a bucket that starts full.
-func NewBucket(clk clock.Clock, ratePerSec, burst float64) *Bucket {
-	if ratePerSec <= 0 || burst <= 0 {
-		panic("rate: rate and burst must be positive")
+// NewBucket returns a bucket that starts full (burst tokens). carry bounds
+// the credit a backlogged sender may bank and must be at least burst.
+func NewBucket(clk clock.Clock, ratePerSec, burst, carry float64) *Bucket {
+	if ratePerSec <= 0 || burst <= 0 || carry < burst {
+		panic("rate: rate and burst must be positive, carry at least burst")
 	}
-	return &Bucket{clk: clk, rate: ratePerSec, burst: burst, tokens: burst, last: clk.Now()}
+	return &Bucket{clk: clk, rate: ratePerSec, burst: burst, carry: carry, tokens: burst, last: clk.Now()}
 }
 
-// refill accrues tokens to now; caller holds mu.
+// refill accrues tokens to now, up to the cap for the sender's state;
+// caller holds mu.
 func (b *Bucket) refill(now time.Time) {
 	if b.paused {
 		b.last = now
 		return
 	}
 	dt := now.Sub(b.last).Seconds()
-	if dt > 0 {
-		b.tokens += dt * b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-		b.last = now
+	if dt <= 0 {
+		return
+	}
+	b.last = now
+	limit := b.burst
+	if b.backlogged {
+		limit = b.carry
+	}
+	if b.tokens < limit {
+		b.tokens = min(b.tokens+dt*b.rate, limit)
 	}
 }
 
 // Take consumes n tokens immediately (the bucket may go negative) and
 // returns how long the caller must wait before the debt is repaid —
 // zero when tokens were available. This "spend then wait" shape keeps the
-// long-run rate exact even for bursts larger than the bucket.
+// long-run rate exact even for bursts larger than the bucket. A debt
+// marks the sender backlogged.
 func (b *Bucket) Take(n float64) time.Duration {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -68,7 +94,20 @@ func (b *Bucket) Take(n float64) time.Duration {
 	if b.tokens >= 0 {
 		return 0
 	}
+	b.backlogged = true
 	return time.Duration(-b.tokens / b.rate * float64(time.Second))
+}
+
+// Idle tells the bucket the sender has run out of work to pace. Credit
+// accrued so far is kept; from now on accrual stops at burst, until a
+// Take leaves a debt again. A sender that stops for any reason other than
+// a pacing wait must call it, or a long pause would bank carry-sized
+// credit and release it as a burst.
+func (b *Bucket) Idle() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.refill(b.clk.Now())
+	b.backlogged = false
 }
 
 // Wait is Take followed by sleeping out the returned debt.

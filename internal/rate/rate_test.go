@@ -11,8 +11,12 @@ import (
 )
 
 func manualBucket(rate, burst float64) (*Bucket, *clock.Manual) {
+	return manualCarryBucket(rate, burst, burst)
+}
+
+func manualCarryBucket(rate, burst, carry float64) (*Bucket, *clock.Manual) {
 	m := clock.NewManual(time.Unix(0, 0))
-	return NewBucket(m, rate, burst), m
+	return NewBucket(m, rate, burst, carry), m
 }
 
 func TestBucketStartsFull(t *testing.T) {
@@ -109,7 +113,7 @@ func TestBucketPauseStopsAccrual(t *testing.T) {
 
 func TestBucketWaitSleepsOutDebt(t *testing.T) {
 	var sys clock.System
-	b := NewBucket(sys, 1000, 1)
+	b := NewBucket(sys, 1000, 1, 1)
 	start := time.Now()
 	b.Wait(1)  // free
 	b.Wait(20) // ~20ms debt
@@ -118,12 +122,102 @@ func TestBucketWaitSleepsOutDebt(t *testing.T) {
 	}
 }
 
+// lateSender drives b like the transport's pump for the given span of
+// manual time: each unit costs work of manual time to send; on debt, the
+// sender sleeps until the debt is due plus late. It returns the units
+// released.
+func lateSender(b *Bucket, m *clock.Manual, span, work, late time.Duration) int {
+	end := m.Now().Add(span)
+	sent := 0
+	for m.Now().Before(end) {
+		if d := b.Take(1); d > 0 {
+			m.Advance(d + late)
+		}
+		m.Advance(work)
+		sent++
+	}
+	return sent
+}
+
+// A 250 µs pacing period on a timer that always fires 1 ms late (the
+// transport's wheel tick) must still hold the set rate: the credit that
+// fell due during the late sleep is earned, not clipped to the burst.
+// Time spent sending what fell due must not lose credit either.
+func TestBucketLateWakesKeepRate(t *testing.T) {
+	const r = 4000 // one unit per 250 µs
+	for _, work := range []time.Duration{0, 100 * time.Microsecond} {
+		b, m := manualCarryBucket(r, 2, 15)
+		span := 10 * time.Second
+		got := float64(lateSender(b, m, span, work, time.Millisecond)) / span.Seconds()
+		if math.Abs(got-r)/r > 0.01 {
+			t.Fatalf("work %v: long-run rate %.0f/s with 1 ms late wakes, want %d/s ±1%%", work, got, r)
+		}
+	}
+}
+
+// The burst cap still bounds credit accrued while idle.
+func TestBucketIdleReleasesAtMostBurst(t *testing.T) {
+	b, m := manualCarryBucket(4000, 2, 15)
+	b.Take(2) // drain without going into debt
+	m.Advance(time.Second)
+	if n := freeTakes(b); n != 2 {
+		t.Fatalf("first wake after idle released %d units, want burst 2", n)
+	}
+
+	// A sender that wakes from its debt to an empty queue keeps what it
+	// earned during the late sleep, but the idle spell after it adds
+	// nothing.
+	b, m = manualCarryBucket(4000, 2, 15)
+	b.Take(3)                                          // one unit of debt, due in 250 µs
+	m.Advance(250*time.Microsecond + time.Millisecond) // 4 units earned past the debt
+	b.Idle()
+	m.Advance(time.Second)
+	if n := freeTakes(b); n != 4 {
+		t.Fatalf("after a late wake and an idle second, released %d units, want the 4 earned", n)
+	}
+}
+
+// One wake, however late (a GC pause, a descheduled shard), never
+// releases more than the carry bound.
+func TestBucketLateWakeBoundedByCarry(t *testing.T) {
+	b, m := manualCarryBucket(4000, 2, 15)
+	if d := b.Take(3); d <= 0 {
+		t.Fatal("no debt taken")
+	}
+	m.Advance(time.Hour)
+	if n := freeTakes(b); n != 15 {
+		t.Fatalf("a stalled wake released %d units, want carry 15", n)
+	}
+}
+
+// Earned credit above the burst is never clipped by idle refills.
+func TestBucketEarnedCreditNotClipped(t *testing.T) {
+	b, m := manualCarryBucket(1000, 1, 10)
+	b.Take(2) // one unit of debt
+	m.Advance(6 * time.Millisecond)
+	b.Idle()
+	m.Advance(time.Second)
+	if got := b.Tokens(); math.Abs(got-5) > 1e-9 {
+		t.Fatalf("tokens = %g, want the 5 earned kept", got)
+	}
+}
+
+// freeTakes counts the units b releases without a wait.
+func freeTakes(b *Bucket) int {
+	n := 0
+	for b.Take(1) == 0 {
+		n++
+	}
+	return n
+}
+
 func TestBucketPanicsOnBadArguments(t *testing.T) {
 	var sys clock.System
 	for _, f := range []func(){
-		func() { NewBucket(sys, 0, 1) },
-		func() { NewBucket(sys, 1, 0) },
-		func() { b := NewBucket(sys, 1, 1); b.SetRate(0) },
+		func() { NewBucket(sys, 0, 1, 1) },
+		func() { NewBucket(sys, 1, 0, 1) },
+		func() { NewBucket(sys, 1, 2, 1) }, // carry below burst
+		func() { b := NewBucket(sys, 1, 1, 1); b.SetRate(0) },
 		func() { NewWindow(0) },
 		func() { w := NewWindow(1); w.SetSize(-1) },
 	} {

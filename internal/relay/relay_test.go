@@ -350,8 +350,10 @@ func TestSpliceAdopt(t *testing.T) {
 	}
 	leafVC := evc.ID()
 
+	// Both feeds carry the first half of the prefix, and the leaf takes
+	// all of it through relay A.
 	payload := make([]byte, 32)
-	for i := 0; i < prefix; i++ {
+	for i := 0; i < prefix/2; i++ {
 		for _, sv := range feeds {
 			if _, err := sv.Write(payload, 0); err != nil {
 				t.Fatal(err)
@@ -364,7 +366,17 @@ func TestSpliceAdopt(t *testing.T) {
 
 	// Kill relay A mid-stream. The leaf's sink VC dies by keepalive and
 	// leaves a resume tombstone; relay B adopts it from its own history.
+	// The second half of the prefix reaches relay B only, so the leaf is
+	// behind B's head by construction and adoption must replay the gap.
 	r.fn.Crash(2)
+	for i := prefix / 2; i < prefix; i++ {
+		if _, err := feeds[1].Write(payload, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !waitUntil(10*time.Second, func() bool { return spB.Head() >= prefix }) {
+		t.Fatalf("relay B stalled at head %d, want %d", spB.Head(), prefix)
+	}
 
 	rp := session.NewReparenter(sys, session.ReparentPolicy{
 		Attempts: 40, Backoff: 100 * time.Millisecond,
@@ -372,11 +384,17 @@ func TestSpliceAdopt(t *testing.T) {
 	res := rp.Run([]session.Orphan{
 		{VC: leafVC, Leaf: core.Addr{Host: 4, TSAP: leafTSAP}, SrcTSAP: egressTSAP},
 	}, spB)
+	headAtAdoption := spB.Head()
 	if res[0].State != session.ReparentAdopted {
 		t.Fatalf("adoption failed after %d attempts: %v", res[0].Attempts, res[0].Err)
 	}
-	if rep := spB.LastReport(); rep.Fanout != 1 {
+	rep := spB.LastReport()
+	if rep.Fanout != 1 {
 		t.Errorf("survivor fanout = %d, want 1", rep.Fanout)
+	}
+	if want := uint64(headAtAdoption - res[0].ResumedFrom); rep.Replayed != want || want == 0 {
+		t.Errorf("adoption at watermark %d with head %d replayed %d OSDUs, want %d (> 0)",
+			res[0].ResumedFrom, headAtAdoption, rep.Replayed, want)
 	}
 
 	// The stream continues through the survivor only.
@@ -386,9 +404,6 @@ func TestSpliceAdopt(t *testing.T) {
 		}
 	}
 	assertExact(t, "re-parented leaf", leaf, total)
-	if rep := spB.LastReport(); rep.Replayed == 0 && res[0].ResumedFrom < spB.Head() {
-		t.Errorf("adoption at watermark %d behind head required replay, but none counted", res[0].ResumedFrom)
-	}
 }
 
 // BenchmarkRelayFanout measures the 1→64 splice end to end over the

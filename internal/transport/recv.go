@@ -341,7 +341,13 @@ func (r *RecvVC) Contract() qos.Contract {
 // storage and is valid until the next Read. Read is intended for a
 // single application thread per VC.
 func (r *RecvVC) Read() (cbuf.OSDU, error) {
-	u, err := r.ring.Get()
+	u, ok, err := r.ring.TryGet()
+	if !ok && err == nil {
+		if b := r.pacer.Load(); b != nil {
+			b.Idle() // waiting for data, not for the pacer
+		}
+		u, err = r.ring.Get()
+	}
 	if err != nil {
 		return cbuf.OSDU{}, err
 	}
@@ -358,8 +364,12 @@ func (r *RecvVC) Read() (cbuf.OSDU, error) {
 // TryRead is Read without blocking.
 func (r *RecvVC) TryRead() (cbuf.OSDU, bool, error) {
 	u, ok, err := r.ring.TryGet()
+	b := r.pacer.Load()
+	if !ok && b != nil {
+		b.Idle()
+	}
 	if ok {
-		if b := r.pacer.Load(); b != nil {
+		if b != nil {
 			b.Wait(1)
 		}
 		r.delivered.Add(1)
@@ -446,7 +456,7 @@ func (r *RecvVC) SetDeliveryRate(osduPerSec float64) {
 		b.SetRate(osduPerSec)
 		return
 	}
-	r.pacer.Store(rate.NewBucket(r.e.clk, osduPerSec, 1))
+	r.pacer.Store(rate.NewBucket(r.e.clk, osduPerSec, 1, max(float64(r.ring.Cap()-1), 1)))
 }
 
 // TakeBlockStats returns and resets the sink-side blocking times: how

@@ -159,8 +159,11 @@ func newSendVC(e *Entity, id core.VCID, tup core.ConnectTuple, profile qos.Profi
 	// Rate-based flow control paces logical units: the contract's
 	// throughput is an OSDU rate, and "at each time period there will
 	// always be something to transmit (one logical unit)" (§3.7) — so
-	// the bucket is denominated in OSDUs, with a two-OSDU burst.
-	s.bucket = rate.NewBucket(e.clk, contract.Throughput, 2)
+	// the bucket is denominated in OSDUs, with a two-OSDU burst. A
+	// backlogged VC may bank RingSlots−1 OSDUs of credit: with the OSDU
+	// it waited for, one late wake never releases more than a sink ring
+	// holds.
+	s.bucket = rate.NewBucket(e.clk, contract.Throughput, 2, max(float64(e.cfg.RingSlots-1), 2))
 	if profile == qos.ProfileWindow {
 		s.window = rate.NewWindow(e.cfg.WindowSize)
 	} else if class.Corrects() {
@@ -541,6 +544,16 @@ func (s *SendVC) pump() {
 		// smuggle a fragment past the pacer.
 		return
 	}
+	s.send()
+	if !s.pumpTimer.Armed() {
+		// Stopped for want of data, credit or an open gate, not to pace:
+		// the bucket must not bank what accrues until the next debt.
+		s.bucket.Idle()
+	}
+}
+
+// send is the pump's loop; it returns when the VC can make no progress.
+func (s *SendVC) send() {
 	maxTPDU := s.e.cfg.MaxTPDU
 	for {
 		s.mu.Lock()
